@@ -21,12 +21,9 @@ the number measures lockstep execution, not activation setup. Measured:
   un-floored so the gap stays visible instead of hidden.
 * **batch_parity_identical** — 1 iff (a) every kernel lane's full
   architectural state (pc, stack, counters, RAM, emit log) is
-  bit-identical between batch and serial, (b) the same holds for every
-  traffic-light cohort board, and (c) a quick-corpus campaign run
-  through :class:`repro.fleet.batch.BatchRunner` produces byte-identical
-  outcomes to :class:`repro.fleet.SerialRunner` through the canonical
-  merge. This is the hard invariant (CI floors it at 1): lockstep must
-  never change results.
+  bit-identical between batch and serial, and (b) the same holds for
+  every traffic-light cohort board. This is the hard invariant (CI
+  floors it at 1): lockstep must never change results.
 
 Writes ``BENCH_batch.json`` next to this file so the batch tier's perf
 trajectory is tracked across PRs.
@@ -47,8 +44,6 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
-from repro.faults import run_campaign
-from repro.fleet import BatchRunner, SerialRunner
 from repro.fleet.batch import BoardCohort
 from repro.target.assembler import Assembler
 from repro.target.batch import BatchCpu
@@ -195,27 +190,6 @@ def cohort_speedup(jobs: int, reps: int) -> tuple:
     return round(serial_s / batch_s, 2), parity, dict(cohort.batch.stats)
 
 
-def campaign_parity() -> int:
-    """BatchRunner == SerialRunner through the full canonical merge."""
-    from repro.comdes.examples import traffic_light_system  # noqa: F401
-    from repro.experiments.requirements import (
-        traffic_light_code_watches, traffic_light_monitor_suite)
-    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-    from perf_fleet import outcome_fingerprint
-
-    kw = dict(design_kinds=("wrong_target", "remove_transition"),
-              impl_kinds=("inverted_branch", "store_drop"),
-              seeds=(1, 2), duration_us=1_000_000)
-    results = {}
-    for name, runner in (("serial", SerialRunner()),
-                         ("batch", BatchRunner())):
-        results[name] = run_campaign(
-            traffic_light_system, traffic_light_monitor_suite,
-            traffic_light_code_watches, runner=runner, **kw)
-    return int(outcome_fingerprint(results["serial"])
-               == outcome_fingerprint(results["batch"]))
-
-
 def main() -> None:
     quick = "--quick" in sys.argv
     jobs = QUICK_JOBS if quick else FULL_JOBS
@@ -225,8 +199,7 @@ def main() -> None:
     s64, serial64_s, batch64_s, parity64 = kernel_speedup(64, jobs, reps)
     cohort64, cohort_parity, cohort_stats = cohort_speedup(
         max(1, jobs // 2), reps)
-    runner_parity = campaign_parity()
-    parity = int(parity16 and parity64 and cohort_parity and runner_parity)
+    parity = int(parity16 and parity64 and cohort_parity)
 
     instr_per_job = KERNEL_ITERS * 10 + 6
     results = {

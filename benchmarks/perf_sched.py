@@ -4,7 +4,7 @@ Three numbers, one per scheduler property the fleet refactor claims:
 
 * **steal_speedup_skew** — makespan of a *skewed* synthetic corpus
   (a few heavy jobs clustered at the head, a tail of light ones) under
-  static pinned chunking vs the elastic schedule (cost-hint LPT
+  static chunking vs the elastic schedule (cost-hint LPT
   placement + queue stealing + preemptive partial-batch yields). Jobs
   are ``time.sleep`` units executed by real worker processes, so the
   makespan is decided by *scheduling*, not by host core count — the
@@ -92,8 +92,9 @@ def contiguous_thirds(jobs):
 def run_skew_arm(jobs, *, arm: str, chunk: int = 2):
     """One scheduling regime over the skew corpus; returns (s, sched).
 
-    ``static``  — contiguous thirds pinned to their worker, no stealing:
-                  the pre-refactor chunking baseline.
+    ``static``  — contiguous thirds, no stealing: LPT placement puts
+                  exactly one third on each worker, the pre-refactor
+                  chunking baseline.
     ``elastic`` — cost-hint LPT placement + stealing: heavy units are
                   *placed* apart, landing on the 20-unit optimum.
     ``blind``   — hints withheld (uniform unit costs) + stealing: the
@@ -102,11 +103,9 @@ def run_skew_arm(jobs, *, arm: str, chunk: int = 2):
     """
     backend = ProcessBackend(slot_count=WORKERS,
                              entry_ref="perf_sched:sleepy_execute")
-    scheduler = ElasticScheduler(backend, steal=arm != "static",
-                                 cost_placement=arm == "elastic")
+    scheduler = ElasticScheduler(backend, steal=arm != "static")
     if arm == "static":
-        units = [WorkUnit(chunk_jobs, pinned=worker)
-                 for worker, chunk_jobs in enumerate(contiguous_thirds(jobs))]
+        units = [WorkUnit(chunk_jobs) for chunk_jobs in contiguous_thirds(jobs)]
     else:
         units = [WorkUnit(jobs[i:i + chunk],
                           cost=None if arm == "elastic" else chunk)
@@ -119,6 +118,9 @@ def run_skew_arm(jobs, *, arm: str, chunk: int = 2):
     elapsed = time.perf_counter() - start
     assert results == {job.index: job.index for job in jobs}, \
         "scheduler lost or misrouted synthetic results"
+    if arm == "static":
+        assert scheduler.dispatches == WORKERS, \
+            "static arm must run exactly one third per worker"
     return elapsed, scheduler
 
 

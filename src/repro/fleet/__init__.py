@@ -1,4 +1,4 @@
-"""repro.fleet — elastic scheduled execution for campaigns and sharding.
+"""repro.fleet — campaign runners, shard workers and board cohorts.
 
 Parson's observation (*Extension Language Automation of Embedded System
 Debugging*) is that a debugger becomes an experimentation platform the
@@ -7,23 +7,29 @@ layer: fault campaigns and multi-board simulations stop serializing on
 one interpreter and fan out over worker processes, so scenario count
 scales with cores instead of wall-clock.
 
-Architecture — policy shells around one scheduler core::
+Architecture — two runners, one scheduler for the one that needs it::
 
     merge.py     results -> CampaignResult       canonical order, loud failures
-    pool.py      SerialRunner / FleetRunner   }
-    batch.py     BatchRunner / BoardCohort    }  policy shells: unit shape,
-    sharding.py  ShardedDtmKernel epochs      }  backend, retry budget
-    sched.py     ElasticScheduler + WorkUnit     THE event loop: per-worker
-                 Inline/Process/Stepped backends queues, cost-hint placement,
-                                                 work stealing, per-item
-                                                 deadlines, non-blocking retry,
+    pool.py      SerialRunner                    run_job per spec, in-process
+                 FleetRunner                     chunks over worker processes
+    sched.py     ElasticScheduler + WorkUnit     FleetRunner's event loop:
+                 ProcessBackend                  per-worker queues, LPT
+                                                 placement, work stealing,
+                                                 per-item deadlines,
+                                                 non-blocking retry,
                                                  heartbeat draining
     worker.py    run_job / run_unit_stealable    the process entry points
     jobs.py      JobSpec / JobResult             picklable recipes, cost hints
+    batch.py     BoardCohort                     N boards, one firmware, SoA
+                                                 lockstep
+    shards.py    ShardHost                       persistent shard workers for
+                                                 rtos/sharding.py
 
-Every runner builds :class:`~repro.fleet.sched.WorkUnit`\\ s — single
-specs (serial), firmware-fingerprint cohorts (batch), contiguous chunks
-(fleet), pinned shard epochs (sharding) — and hands them to
+:class:`~repro.fleet.pool.SerialRunner` calls
+:func:`~repro.fleet.worker.run_job` on each spec in canonical order: one
+slot has nothing to schedule. :class:`~repro.fleet.pool.FleetRunner`
+cuts the corpus into contiguous-chunk
+:class:`~repro.fleet.sched.WorkUnit`\\ s and hands them to
 :class:`~repro.fleet.sched.ElasticScheduler`, which owns per-worker
 local queues, steals from the longest queue for idle workers, preempts
 multi-item units when everything else is dry (workers return *partial
@@ -57,29 +63,24 @@ The load-bearing design rules:
 Entry points:
 
 * campaigns — ``run_campaign(..., runner=FleetRunner(workers=4))`` in
-  :mod:`repro.faults.campaign`; on a core-starved host prefer
-  ``runner=BatchRunner()`` (cohort-grouped, in-process) — process
-  scale-out cannot win there but identical-firmware cohorts can;
+  :mod:`repro.faults.campaign`, or ``runner=SerialRunner()`` to run the
+  same corpus in-process;
 * seed sweeps — :class:`repro.fleet.batch.BoardCohort` runs N
   same-firmware boards in SoA lockstep via
   :class:`repro.target.batch.BatchCpu` (see ``benchmarks/perf_batch.py``
   for the measured 16/64-lane speedups);
 * multi-board sharding — :class:`repro.rtos.sharding.ShardedDtmKernel`
   runs node-subset kernels in persistent shard workers
-  (:mod:`repro.fleet.shards`), their lookahead epochs dispatched as
-  pinned scheduler units (process shards run each epoch concurrently);
+  (:mod:`repro.fleet.shards`); each lookahead epoch is sent to every
+  shard before any reply is awaited, so process shards run it
+  concurrently;
 * scoreboard — ``benchmarks/perf_fleet.py`` (BENCH_fleet.json) tracks
   campaign throughput and parity; ``benchmarks/perf_sched.py``
   (BENCH_sched.json) floors steal speedup on a skewed corpus, schedule
   parity and stranded-recovery wall time.
 """
 
-from repro.fleet.batch import (
-    BatchRunner,
-    BoardCohort,
-    cohorts_of,
-    firmware_fingerprint,
-)
+from repro.fleet.batch import BoardCohort
 from repro.fleet.jobs import (
     JobResult,
     JobSpec,
@@ -99,22 +100,19 @@ from repro.fleet.pool import (
 )
 from repro.fleet.sched import (
     ElasticScheduler,
-    InlineBackend,
     ProcessBackend,
-    SteppedInlineBackend,
     WorkUnit,
     unit_cost,
 )
-from repro.fleet.worker import run_job, run_job_batch, run_unit_stealable
+from repro.fleet.worker import run_job, run_unit_stealable
 
 __all__ = [
     "JobSpec", "JobResult", "callable_ref", "resolve_ref",
     "enumerate_campaign_jobs", "estimate_cost_hints",
     "FleetRunner", "SerialRunner", "default_workers", "serial_live_scope",
-    "BatchRunner", "BoardCohort", "cohorts_of", "firmware_fingerprint",
-    "ElasticScheduler", "WorkUnit", "unit_cost",
-    "InlineBackend", "ProcessBackend", "SteppedInlineBackend",
+    "BoardCohort",
+    "ElasticScheduler", "WorkUnit", "unit_cost", "ProcessBackend",
     "derive_seed", "seed_stream",
-    "run_job", "run_job_batch", "run_unit_stealable",
+    "run_job", "run_unit_stealable",
     "merge_results",
 ]

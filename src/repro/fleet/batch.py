@@ -1,120 +1,31 @@
-"""Cohort execution: group identical-firmware jobs, run boards in lockstep.
+"""Cohort execution: N identical-firmware boards in SoA lockstep.
 
-Two layers live here, one per abstraction level:
+:class:`BoardCohort` holds N :class:`~repro.target.board.Board`\\ s
+flashed with **one** :class:`~repro.target.firmware.FirmwareImage` and
+driven by a :class:`~repro.target.batch.BatchCpu`. Per-lane data (seeds,
+inputs) differs, the decoded program is shared, and one interpreter
+dispatch advances every board. Per-lane seed data comes from
+:func:`repro.util.seeds.derive_seed`, so a cohort's lane inputs are as
+deterministic as a campaign's job seeds.
 
-* :class:`BoardCohort` — N :class:`~repro.target.board.Board`\\ s flashed
-  with **one** :class:`~repro.target.firmware.FirmwareImage` and driven
-  by a :class:`~repro.target.batch.BatchCpu` in SoA lockstep. This is
-  the raw-speed tier: per-lane data (seeds, inputs) differs, the decoded
-  program is shared, and one interpreter dispatch advances every board.
-  Per-lane seed data comes from :func:`repro.util.seeds.derive_seed`, so
-  a cohort's lane inputs are as deterministic as a campaign's job seeds.
-
-* :class:`BatchRunner` — the campaign-level runner (same
-  ``run(specs) -> results`` contract as ``SerialRunner``/``FleetRunner``)
-  that groups :func:`~repro.fleet.jobs.enumerate_campaign_jobs` output
-  into cohorts by **firmware fingerprint** and executes cohort-by-cohort.
-  The fingerprint is declarative — computed from the spec, not from
-  generated code: control and comm jobs run the pristine base image and
-  share one cohort per ``(system_ref, plan)``, while design and
-  implementation jobs each execute a *mutated* firmware (regenerated
-  model or patched instruction stream per ``(kind, seed)``) and form
-  singleton cohorts. Cohort-mates execute back-to-back, so the worker's
-  per-process firmware memo and any warm caches are hit in the best
-  possible order; every job still goes through the one true
-  :func:`~repro.fleet.worker.run_job` code path, which is what makes
-  ``BatchRunner`` == ``SerialRunner`` through the canonical merge an
-  identity by construction, not a testing accident.
-
-The two meet in campaigns that sweep *data* rather than firmware (seed
-sweeps, differential control-vs-N-faulty-input oracles): there the
-cohort is wide and :class:`BoardCohort` turns N interpreter loops into
-one. ``benchmarks/perf_batch.py`` scores exactly that workload.
+Cohorts pay off on workloads that sweep *data* rather than firmware
+(seed sweeps, differential control-vs-N-faulty-input oracles): there
+:class:`BoardCohort` turns N interpreter loops into one.
+``benchmarks/perf_batch.py`` scores exactly that workload.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.errors import FleetError
-from repro.fleet.jobs import JobResult, JobSpec
-from repro.fleet.worker import run_job
 from repro.target.batch import BatchCpu, LaneOutcome
 from repro.target.board import Board
 from repro.target.firmware import FirmwareImage
 from repro.util.intmath import wrap32
 from repro.util.seeds import derive_seed
 
-__all__ = ["BoardCohort", "BatchRunner", "firmware_fingerprint",
-           "cohorts_of"]
-
-
-def firmware_fingerprint(spec: JobSpec) -> tuple:
-    """The cohort key of one job: which decoded program it will execute.
-
-    Declarative on purpose: grouping must not generate firmware. Jobs
-    whose executed image is the pristine codegen output (control, comm —
-    transport faults never touch the program) share the base key; jobs
-    that mutate the model or patch the instruction stream (design,
-    implementation) are keyed by their exact fault coordinates.
-    """
-    plan = spec.plan
-    base = (spec.system_ref, plan.state_enter, plan.signal_update,
-            plan.transitions, plan.task_markers, plan.self_loops)
-    if spec.category in ("control", "comm"):
-        return ("base",) + base
-    return (spec.category, spec.kind, spec.seed) + base
-
-
-def cohorts_of(specs: Sequence[JobSpec]
-               ) -> List[Tuple[tuple, List[JobSpec]]]:
-    """Group *specs* into cohorts, ordered by first canonical appearance."""
-    order: Dict[tuple, List[JobSpec]] = {}
-    for spec in specs:
-        order.setdefault(firmware_fingerprint(spec), []).append(spec)
-    return list(order.items())
-
-
-class BatchRunner:
-    """Cohort-grouped campaign runner (``run(specs) -> results``).
-
-    Drop-in beside :class:`~repro.fleet.pool.SerialRunner` and
-    :class:`~repro.fleet.pool.FleetRunner` in
-    ``run_campaign(runner=...)``. Execution is in-process and
-    cohort-ordered; results return in canonical spec order regardless.
-    ``last_cohorts`` exposes the most recent grouping (fingerprint ->
-    canonical job indices) for tests, benchmarks and scheduling
-    forensics.
-    """
-
-    workers = 1
-
-    def __init__(self) -> None:
-        self.last_cohorts: List[Tuple[tuple, List[int]]] = []
-
-    def run(self, specs: Sequence[JobSpec]) -> List[JobResult]:
-        specs = list(specs)
-        if not specs:
-            return []
-        cohorts = cohorts_of(specs)
-        self.last_cohorts = [(key, [s.index for s in members])
-                             for key, members in cohorts]
-        # one work unit per cohort, dispatched through the shared
-        # scheduler core in first-appearance order (cost_placement off:
-        # cohort adjacency, not weight, is this runner's whole policy)
-        from repro.fleet.sched import ElasticScheduler, InlineBackend, WorkUnit
-        scheduler = ElasticScheduler(InlineBackend(run_job),
-                                     cost_placement=False)
-        by_index = scheduler.run(
-            [WorkUnit(members) for _, members in cohorts])
-        missing = [s.job_id for s in specs if s.index not in by_index]
-        if missing:  # pragma: no cover - run_job never loses a result
-            raise FleetError(f"batch runner lost {len(missing)} "
-                             f"job result(s): {missing[:5]}")
-        return [by_index[spec.index] for spec in specs]
-
-    def __repr__(self) -> str:
-        return f"<BatchRunner cohorts={len(self.last_cohorts) or '?'}>"
+__all__ = ["BoardCohort"]
 
 
 class BoardCohort:

@@ -1,28 +1,23 @@
-"""Campaign runners: thin policy shells over the elastic scheduler core.
+"""Campaign runners: run a corpus in-process, or over worker processes.
 
 Runner contract — ``run(specs) -> results`` where ``results[i]`` answers
 ``specs[i]`` (canonical order restored no matter which worker finished
-first). Every runner implements it identically, so every call site takes
+first). Both runners implement it identically, so every call site takes
 a ``runner`` and stays oblivious to whether experiments fan out or not.
 
-Since the scheduler refactor, no dispatch/retry/timeout/collection loop
-lives here: :class:`SerialRunner` and :class:`FleetRunner` only choose a
-*policy* — unit shape, backend, worker count, retry budget — and hand it
-to :class:`~repro.fleet.sched.ElasticScheduler`, the one event loop
-under every execution layer (see :mod:`repro.fleet.sched`).
-
-* **SerialRunner** — one single-spec unit per job, one in-process slot
-  (:class:`~repro.fleet.sched.InlineBackend`), canonical dispatch order.
-  It *is* the parity baseline every other schedule is measured against.
+* **SerialRunner** — ``run_job`` over the corpus in canonical order, in
+  the caller's process. It *is* the parity baseline every fleet
+  schedule is measured against, and it has nothing to schedule: one
+  slot, nothing to steal, kill or retry.
 * **FleetRunner** — contiguous chunks as work units over persistent
-  worker processes (:class:`~repro.fleet.sched.ProcessBackend`):
-  cost-hint-weighted placement, idle-worker stealing, per-job deadlines
-  (``job_timeout_s`` is per in-flight job, not a whole-pass bound),
-  bounded non-blocking retry with exponential backoff, and mid-run
-  heartbeat draining for the live telemetry plane. Workers stream one
-  result per spec, so a crasher costs exactly its own job: chunk mates
-  that finished are already home and the queued rest is re-dispatched
-  uncharged.
+  worker processes, driven by :class:`~repro.fleet.sched.ElasticScheduler`
+  (its only client): cost-hint-weighted placement, idle-worker
+  stealing, per-job deadlines (``job_timeout_s`` is per in-flight job,
+  not a whole-pass bound), bounded non-blocking retry with exponential
+  backoff, and mid-run heartbeat draining for the live telemetry plane.
+  Workers stream one result per spec, so a crasher costs exactly its
+  own job: chunk mates that finished are already home and the queued
+  rest is re-dispatched uncharged.
 
 **crash containment** — a worker that dies outright (segfault,
 ``os._exit``) is respawned; the job it was executing burns one retry
@@ -54,12 +49,7 @@ from typing import List, Optional, Sequence
 
 from repro.errors import FleetError
 from repro.fleet.jobs import JobResult, JobSpec, default_mp_context
-from repro.fleet.sched import (
-    ElasticScheduler,
-    InlineBackend,
-    ProcessBackend,
-    WorkUnit,
-)
+from repro.fleet.sched import ElasticScheduler, ProcessBackend, WorkUnit
 from repro.fleet.worker import run_job
 from repro.obs.runtime import OBS
 from repro.util.seeds import derive_seed, seed_stream
@@ -141,16 +131,13 @@ def serial_live_scope(live):
 
 
 class SerialRunner:
-    """The in-process fallback: identical interface, zero processes.
+    """The in-process runner: identical interface, zero processes.
 
-    A policy shell over :class:`~repro.fleet.sched.ElasticScheduler`:
-    one single-spec unit per job on one inline slot, placement in
-    canonical order, stealing irrelevant — i.e. the canonical serial
-    schedule every elastic schedule must be byte-identical to. Jobs run
-    through the same :func:`~repro.fleet.worker.run_job` the pool
-    workers use. With ``live=`` (a
-    :class:`~repro.obs.live.LiveAggregator`) heartbeats flow through
-    :func:`serial_live_scope` straight into the aggregator.
+    Runs every job through the same :func:`~repro.fleet.worker.run_job`
+    the pool workers use, one after another in canonical order — the
+    schedule every fleet schedule must be byte-identical to. With
+    ``live=`` (a :class:`~repro.obs.live.LiveAggregator`) heartbeats
+    flow through :func:`serial_live_scope` straight into the aggregator.
     """
 
     workers = 1
@@ -160,14 +147,8 @@ class SerialRunner:
         self.live = live
 
     def run(self, specs: Sequence[JobSpec]) -> List[JobResult]:
-        specs = list(specs)
-        if not specs:
-            return []
         with serial_live_scope(self.live):
-            scheduler = ElasticScheduler(InlineBackend(run_job),
-                                         cost_placement=False)
-            by_index = scheduler.run([WorkUnit([spec]) for spec in specs])
-        return [by_index[spec.index] for spec in specs]
+            return [run_job(spec) for spec in specs]
 
     def __repr__(self) -> str:
         live = " live" if self.live is not None else ""

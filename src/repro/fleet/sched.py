@@ -1,26 +1,24 @@
-"""The elastic work-stealing scheduler core under every fleet runner.
+"""The elastic work-stealing scheduler core under :class:`FleetRunner`.
 
-One event loop, many policies. :class:`ElasticScheduler` owns a deque of
-:class:`WorkUnit`\\ s — single campaign :class:`~repro.fleet.jobs.JobSpec`\\ s
-(``SerialRunner``), fingerprint-grouped cohort units (``BatchRunner``),
-contiguous chunks (``FleetRunner``) or shard-epoch commands
-(:class:`~repro.rtos.sharding.ShardedDtmKernel`) — distributes them into
-per-worker local queues, and runs a single loop that interleaves
-dispatch, result harvesting, heartbeat draining (``live.drain``),
-deadline enforcement and isolated-retry resubmission. The three
-sequential phases of the old pool (dispatch pass, timeout pass, serial
-stranded-retry pass with blocking sleeps) collapse into that one loop.
+:class:`ElasticScheduler` takes :class:`WorkUnit`\\ s — contiguous
+chunks of campaign :class:`~repro.fleet.jobs.JobSpec`\\ s — distributes
+them into per-worker local queues, and runs a single loop that
+interleaves dispatch, result harvesting, heartbeat draining
+(``live.drain``), deadline enforcement and isolated-retry resubmission.
+Only process workers need it: in-process runs
+(:class:`~repro.fleet.pool.SerialRunner`) and shard epochs
+(:class:`~repro.rtos.sharding.ShardedDtmKernel`) have nothing to steal,
+kill or retry, and call their work directly.
 
 Scheduling policy:
 
-* **placement** — units are placed greedily onto the least-loaded local
-  queue; with ``cost_placement`` (and :attr:`JobSpec.cost_hint` stamped
-  by ``enumerate_campaign_jobs``) placement is longest-processing-time
-  first, so a known-heavy unit never lands behind another heavy one.
-  Hints are optional: units without them weigh ``len(items)`` (uniform).
+* **placement** — longest-processing-time first: units are placed
+  greedily, heaviest first, onto the least-loaded local queue, so a
+  known-heavy unit never lands behind another heavy one. Weights come
+  from :attr:`JobSpec.cost_hint` (stamped by ``enumerate_campaign_jobs``);
+  units without hints weigh ``len(items)`` (uniform).
 * **queue stealing** — an idle worker whose local queue is dry takes the
   newest unit from the tail of the *longest remaining* queue (by cost).
-  Pinned units (shard epochs) never migrate.
 * **preemptive stealing** — when every queue is empty and a worker is
   still grinding through a multi-item unit, the scheduler asks the
   busiest in-flight unit to yield; the worker finishes its current item,
@@ -28,14 +26,13 @@ Scheduling policy:
   is re-queued for the idle capacity.
 * **per-item deadlines** — with ``job_timeout_s`` the in-flight item of
   every busy worker has its own deadline (reset on each harvested
-  result), replacing the old coarse whole-pass ``timeout * len(specs)``
-  bound. A breach kills *that worker only*; queued and in-flight mates
+  result). A breach kills *that worker only*; queued and in-flight mates
   are re-enqueued unharmed.
 * **non-blocking retries** — a died/killed item burns one attempt and is
   resubmitted as a single-item unit gated on a ``not_before`` deadline
   (``backoff * 2**(attempt-1)`` after the death), so N stranded jobs
   recover concurrently in max-of-backoffs wall time, with heartbeats
-  drained between polls, instead of the old serial sum-of-backoffs stall.
+  drained between polls.
 
 The determinism contract: results are keyed by each item's canonical
 ``index`` and merged by the caller in canonical order, and every item is
@@ -43,21 +40,16 @@ executed by the same pure ``run_job`` path no matter which worker, steal
 or interleaving ran it — so *any* steal schedule produces byte-identical
 campaign results, trace stores and live-alert transcripts to
 ``SerialRunner`` at the same master seed. ``tests/test_sched.py`` proves
-it under hypothesis-forced interleavings via
-:class:`SteppedInlineBackend` and an injectable scheduler clock.
+it under hypothesis-forced interleavings with a stepped in-process test
+backend and an injectable scheduler clock.
 
-Backends implement mechanism, not policy::
-
-    InlineBackend         in-process, one slot   Serial/Batch runners
-    ProcessBackend        persistent pipe-driven worker processes, one
-                          per slot, respawned on death  FleetRunner
-    SteppedInlineBackend  N virtual workers, one item per poll, caller-
-                          chosen interleaving   the test harness
-
-A process worker streams one ``("result", uid, offset, JobResult)``
-message per item, so a crash loses only the item being executed — the
-chunk mates that already finished came home before the worker died, and
-the ones still queued inside the unit are re-dispatched untouched.
+The backend is mechanism, not policy: :class:`ProcessBackend` runs
+persistent pipe-driven worker processes, one per slot, respawned on
+death. A process worker streams one ``("result", uid, offset,
+JobResult)`` message per item, so a crash loses only the item being
+executed — the chunk mates that already finished came home before the
+worker died, and the ones still queued inside the unit are re-dispatched
+untouched.
 """
 
 from __future__ import annotations
@@ -74,8 +66,7 @@ from repro.fleet.jobs import default_mp_context
 
 __all__ = [
     "WorkUnit", "unit_cost", "MonotonicClock", "VirtualClock",
-    "ElasticScheduler", "InlineBackend", "ProcessBackend",
-    "SteppedInlineBackend", "worker_init",
+    "ElasticScheduler", "ProcessBackend", "worker_init",
 ]
 
 
@@ -93,32 +84,28 @@ def unit_cost(items: Sequence[Any]) -> int:
 
 
 class WorkUnit:
-    """An ordered slice of schedulable items (specs, cohorts, epochs).
+    """An ordered slice of schedulable items.
 
     ``items`` are opaque to the scheduler except for two attributes:
     ``index`` (the canonical result key) and an optional ``cost_hint``
-    (placement weight). ``pinned`` binds the unit to one backend slot —
-    shard epochs must run on the persistent process that owns their
-    kernel state — and pinned units are never stolen.
+    (placement weight).
     """
 
-    __slots__ = ("items", "cost", "pinned", "uid", "not_before")
+    __slots__ = ("items", "cost", "uid", "not_before")
 
-    def __init__(self, items: Sequence[Any], cost: Optional[int] = None,
-                 pinned: Optional[int] = None) -> None:
+    def __init__(self, items: Sequence[Any],
+                 cost: Optional[int] = None) -> None:
         items = list(items)
         if not items:
             raise FleetError("a work unit needs at least one item")
         self.items = items
         self.cost = cost if cost is not None else unit_cost(items)
-        self.pinned = pinned
         self.uid = -1        # assigned when the scheduler admits the unit
         self.not_before = 0.0  # retry units: earliest dispatch instant
 
     def __repr__(self) -> str:
-        pin = f" pinned={self.pinned}" if self.pinned is not None else ""
         return (f"<WorkUnit uid={self.uid} items={len(self.items)} "
-                f"cost={self.cost}{pin}>")
+                f"cost={self.cost}>")
 
 
 class MonotonicClock:
@@ -224,98 +211,6 @@ def _pool_worker_main(conn, extra_paths: List[str], entry_ref: str,
             conn.close()
         except OSError:
             pass
-
-
-class InlineBackend:
-    """One in-process slot; a dispatched unit executes immediately.
-
-    The SerialRunner/BatchRunner mechanism: zero processes, items run
-    through *execute* in dispatch order, results are buffered as events
-    for the next poll. Nothing can die and nothing can be preempted, so
-    steal/kill are unsupported.
-    """
-
-    supports_steal = False
-    supports_kill = False
-    slot_count = 1
-
-    def __init__(self, execute: Callable[[Any], Any]) -> None:
-        self.execute = execute
-        self._events: List[tuple] = []
-
-    def dispatch(self, slot: int, uid: int, items: Sequence[Any]) -> None:
-        for item in items:
-            self._events.append(("result", slot, uid, self.execute(item)))
-        self._events.append(("done", slot, uid))
-
-    def poll(self, timeout_s) -> List[tuple]:
-        events, self._events = self._events, []
-        return events
-
-    def close(self) -> None:
-        pass
-
-
-class SteppedInlineBackend:
-    """N virtual workers advanced one item per poll — the test harness.
-
-    ``choose(busy_slots, step)`` picks which busy slot executes its next
-    item, so a hypothesis test can force *any* interleaving of units
-    across virtual workers. Steal requests are honored exactly like a
-    real worker would: the chosen slot yields its untouched remainder
-    (never before its first item). Execution is still the real
-    *execute* path, in-process — which is what makes "any schedule is
-    byte-identical to serial" a provable property rather than a race.
-    """
-
-    supports_steal = True
-    supports_kill = False
-
-    def __init__(self, slot_count: int,
-                 choose: Callable[[Sequence[int], int], int],
-                 execute: Callable[[Any], Any]) -> None:
-        if slot_count < 1:
-            raise FleetError(f"slot_count must be >= 1, got {slot_count}")
-        self.slot_count = slot_count
-        self.choose = choose
-        self.execute = execute
-        self._busy: Dict[int, list] = {}  # slot -> [uid, items, done]
-        self._steal: set = set()
-        self._step = 0
-
-    def dispatch(self, slot: int, uid: int, items: Sequence[Any]) -> None:
-        self._busy[slot] = [uid, list(items), 0]
-
-    def steal(self, slot: int, uid: int) -> None:
-        self._steal.add(uid)
-
-    def poll(self, timeout_s) -> List[tuple]:
-        busy = tuple(sorted(self._busy))
-        if not busy:
-            return []
-        slot = self.choose(busy, self._step)
-        self._step += 1
-        if slot not in self._busy:
-            raise FleetError(f"choose() picked idle slot {slot}; "
-                             f"busy: {busy}")
-        uid, items, done = self._busy[slot]
-        if uid in self._steal and 0 < done < len(items):
-            # exactly a real worker's window: between items, never
-            # before the first (yields always make progress)
-            self._steal.discard(uid)
-            del self._busy[slot]
-            return [("yield", slot, uid, done)]
-        result = self.execute(items[done])
-        self._busy[slot][2] = done + 1
-        events = [("result", slot, uid, result)]
-        if done + 1 == len(items):
-            del self._busy[slot]
-            self._steal.discard(uid)
-            events.append(("done", slot, uid))
-        return events
-
-    def close(self) -> None:
-        pass
 
 
 class _ProcSlot:
@@ -476,7 +371,7 @@ class _Flight:
 
 
 class ElasticScheduler:
-    """The one event loop under Serial/Fleet/Batch runners and shards.
+    """The event loop under :class:`~repro.fleet.pool.FleetRunner`.
 
     ``run(units)`` places units onto per-slot queues, then loops:
     drain heartbeats, promote due retry units, dispatch idle slots
@@ -490,16 +385,14 @@ class ElasticScheduler:
     single-item unit after ``retry_backoff_s * 2**(attempt-1)`` (a
     deadline, not a sleep), and after ``max_retries`` burned attempts
     the ``terminal_result(item, kind, retries)`` policy produces its
-    structured failure (no policy: the scheduler raises, which is the
-    shard-epoch stance — persistent state cannot be retried). Items of
-    the unit that were still queued behind the victim are re-enqueued
-    uncharged.
+    structured failure (no policy: the scheduler raises rather than
+    fabricate a result). Items of the unit that were still queued
+    behind the victim are re-enqueued uncharged.
     """
 
     def __init__(self, backend, *, max_retries: int = 0,
                  retry_backoff_s: float = 0.0,
-                 job_timeout_s: Optional[float] = None,
-                 steal: bool = True, cost_placement: bool = True,
+                 job_timeout_s: Optional[float] = None, steal: bool = True,
                  live=None, live_queue=None, clock=None,
                  terminal_result: Optional[Callable[[Any, str, int], Any]]
                  = None) -> None:
@@ -508,7 +401,6 @@ class ElasticScheduler:
         self.retry_backoff_s = retry_backoff_s
         self.job_timeout_s = job_timeout_s
         self.steal = steal
-        self.cost_placement = cost_placement
         self.live = live
         self.live_queue = live_queue
         self.clock = clock if clock is not None else MonotonicClock()
@@ -528,40 +420,21 @@ class ElasticScheduler:
                 f"with no retry budget left")
         return self.terminal_result(item, kind, retries)
 
-    def _place(self, units: List[WorkUnit], queues: List[deque]) -> None:
-        """Initial placement: pinned first, then LPT greedy by load."""
-        slots = len(queues)
-        floating = []
-        for unit in units:
-            if unit.pinned is not None:
-                queues[unit.pinned % slots].append(unit)
-            else:
-                floating.append(unit)
-        if self.cost_placement:
-            floating = sorted(floating, key=lambda u: (-u.cost, u.uid))
-        loads = [sum(u.cost for u in queue) for queue in queues]
-        for unit in floating:
-            slot = min(range(slots), key=lambda s: (loads[s], s))
+    @staticmethod
+    def _place(units: List[WorkUnit], queues: List[deque]) -> None:
+        """Initial placement: LPT, heaviest unit onto the lightest queue."""
+        loads = [0] * len(queues)
+        for unit in sorted(units, key=lambda u: (-u.cost, u.uid)):
+            slot = min(range(len(queues)), key=lambda s: (loads[s], s))
             queues[slot].append(unit)
             loads[slot] += unit.cost
 
     @staticmethod
     def _steal_from_longest(queues: List[deque]) -> Optional[WorkUnit]:
-        """Pop the newest unpinned unit off the costliest queue."""
-        victim, best = None, 0
-        for slot, queue in enumerate(queues):
-            cost = sum(u.cost for u in queue if u.pinned is None)
-            if cost > best:
-                victim, best = slot, cost
-        if victim is None:
-            return None
-        queue = queues[victim]
-        for i in range(len(queue) - 1, -1, -1):
-            if queue[i].pinned is None:
-                unit = queue[i]
-                del queue[i]
-                return unit
-        return None  # pragma: no cover - guarded by the cost scan
+        """Pop the newest unit off the costliest queue."""
+        costs = [sum(u.cost for u in queue) for queue in queues]
+        best = max(costs)
+        return queues[costs.index(best)].pop() if best else None
 
     def _poll_timeout(self, busy: Dict[int, _Flight],
                       waiting: List[WorkUnit], now: float):
@@ -595,8 +468,14 @@ class ElasticScheduler:
             expected += len(unit.items)
         self._place(units, queues)
 
-        def admit(items, slot_hint: Optional[int] = None,
-                  not_before: float = 0.0) -> None:
+        def enqueue(unit: WorkUnit) -> None:
+            # idle slots first, then the lightest queue
+            slot = min(range(slots),
+                       key=lambda s: (s in busy,
+                                      sum(u.cost for u in queues[s]), s))
+            queues[slot].append(unit)
+
+        def admit(items, not_before: float = 0.0) -> None:
             nonlocal next_uid
             unit = WorkUnit(items)
             unit.uid = next_uid
@@ -604,13 +483,8 @@ class ElasticScheduler:
             if not_before:
                 unit.not_before = not_before
                 waiting.append(unit)
-                return
-            if slot_hint is None:
-                slot_hint = min(
-                    range(slots),
-                    key=lambda s: (s in busy,
-                                   sum(u.cost for u in queues[s]), s))
-            queues[slot_hint].append(unit)
+            else:
+                enqueue(unit)
 
         def handle_death(flight: _Flight, kind: str) -> None:
             items = flight.unit.items
@@ -644,11 +518,7 @@ class ElasticScheduler:
             if due:
                 waiting = [u for u in waiting if u.not_before > now]
                 for unit in due:
-                    slot = min(
-                        range(slots),
-                        key=lambda s: (s in busy,
-                                       sum(u.cost for u in queues[s]), s))
-                    queues[slot].append(unit)
+                    enqueue(unit)
 
             # dispatch every idle slot; steal when the local queue is dry
             for slot in range(slots):
@@ -676,8 +546,7 @@ class ElasticScheduler:
                     and not any(queues)):
                 candidates = [
                     (slot, flight) for slot, flight in busy.items()
-                    if flight.unit.pinned is None
-                    and not flight.steal_sent
+                    if not flight.steal_sent
                     and len(flight.unit.items) - flight.completed > 1
                 ]
                 if candidates:

@@ -149,11 +149,8 @@ floor-gated in CI).
 
 **When cohorts form.** One level up,
 :class:`repro.fleet.batch.BoardCohort` flashes N boards with one
-firmware and drives them here;
-:class:`repro.fleet.batch.BatchRunner` groups campaign jobs by
-declarative firmware fingerprint (control/comm jobs share the pristine
-image; design/implementation jobs mutate firmware per ``(kind, seed)``
-and stay singleton cohorts).
+firmware and drives them here, for workloads that sweep data (seeds,
+inputs) over one program.
 """
 
 from repro.target.assembler import Assembler, disassemble

@@ -57,9 +57,9 @@ The batch loop interprets the **plain decoded rows**, not the fused
 ones — superinstruction fusion is timing-identical by contract, so
 counters and stops agree with fused serial execution regardless.
 
-Cohorts form one level up: :class:`repro.fleet.batch.BatchRunner`
-groups campaign jobs by firmware fingerprint and runs each cohort
-through a :class:`BatchCpu`.
+Cohorts form one level up: :class:`repro.fleet.batch.BoardCohort`
+flashes N boards with one firmware and runs them through a
+:class:`BatchCpu`.
 """
 
 from __future__ import annotations

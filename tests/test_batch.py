@@ -12,10 +12,8 @@ program generator from ``test_superinstructions``; the serial
 reference runs *fused* (the production serial path), which also
 re-proves fusion timing-identity against a third decoding.
 
-One level up, :class:`~repro.fleet.batch.BatchRunner` must produce
-byte-identical campaign results to :class:`~repro.fleet.SerialRunner`
-through the canonical merge, and firmware fingerprints must group
-exactly the jobs that share an image.
+One level up, :class:`~repro.fleet.batch.BoardCohort` boards must end
+bit-identical to the same boards run one at a time.
 """
 
 import pytest
@@ -30,27 +28,15 @@ from test_superinstructions import (
     snippets,
 )
 
-from repro.codegen import InstrumentationPlan
 from repro.codegen.pipeline import generate_firmware
 from repro.comdes.examples import traffic_light_system
 from repro.errors import FleetError, TargetFault
-from repro.experiments.requirements import (
-    traffic_light_code_watches,
-    traffic_light_monitor_suite,
-)
-from repro.faults import run_campaign
-from repro.fleet import (
-    BatchRunner,
-    SerialRunner,
-    enumerate_campaign_jobs,
-)
-from repro.fleet.batch import BoardCohort, cohorts_of, firmware_fingerprint
+from repro.fleet.batch import BoardCohort
 from repro.target.batch import BatchCpu, LaneOutcome
 from repro.target.board import Board
 from repro.target.cpu import Cpu, StopReason
 from repro.target.isa import Instr
 from repro.target.memory import RAM_BASE, MemoryMap
-from repro.util.timeunits import sec
 
 cell_value = st.integers(-(2 ** 31), 2 ** 31 - 1)
 
@@ -357,75 +343,7 @@ class TestDivergencePolicy:
         assert_cohort_matches(serial, batch_lanes, outs_s, outs_b)
 
 
-# -- fleet wiring ------------------------------------------------------------
-
-CAMPAIGN_KW = dict(
-    design_kinds=("wrong_target",),
-    impl_kinds=("store_drop",),
-    comm_kinds=("frame_loss",),
-    seeds=(1, 2),
-    duration_us=sec(1),
-)
-
-
-def small_specs():
-    return enumerate_campaign_jobs(
-        traffic_light_system, traffic_light_monitor_suite,
-        traffic_light_code_watches, plan=InstrumentationPlan.full(),
-        **CAMPAIGN_KW)
-
-
-class TestFirmwareFingerprint:
-    def test_control_and_comm_share_the_pristine_image(self):
-        specs = small_specs()
-        control = [s for s in specs if s.category == "control"]
-        comm = [s for s in specs if s.category == "comm"]
-        assert control and comm
-        keys = {firmware_fingerprint(s) for s in control + comm}
-        assert len(keys) == 1
-
-    def test_firmware_mutating_jobs_stay_singleton(self):
-        specs = small_specs()
-        mutating = [s for s in specs
-                    if s.category in ("design", "implementation")]
-        keys = [firmware_fingerprint(s) for s in mutating]
-        assert len(set(keys)) == len(keys)
-        base = firmware_fingerprint(
-            next(s for s in specs if s.category == "control"))
-        assert base not in keys
-
-    def test_cohorts_preserve_canonical_order_and_cover_all_jobs(self):
-        specs = small_specs()
-        cohorts = cohorts_of(specs)
-        indices = [s.index for _, members in cohorts for s in members]
-        assert sorted(indices) == [s.index for s in specs]
-        # first cohort is the pristine image: control + every comm job
-        _, first = cohorts[0]
-        assert {s.category for s in first} == {"control", "comm"}
-        assert len(first) == 1 + len(CAMPAIGN_KW["comm_kinds"]) * len(
-            CAMPAIGN_KW["seeds"])
-
-
-class TestBatchRunnerCampaignParity:
-    def test_batch_runner_equals_serial_runner(self):
-        results = {}
-        runner = BatchRunner()
-        for name, r in (("serial", SerialRunner()), ("batch", runner)):
-            results[name] = run_campaign(
-                traffic_light_system, traffic_light_monitor_suite,
-                traffic_light_code_watches, runner=r, **CAMPAIGN_KW)
-        serial, batch = results["serial"], results["batch"]
-        assert serial.summary_rows() == batch.summary_rows()
-        assert len(serial.outcomes) == len(batch.outcomes)
-        for a, b in zip(serial.outcomes, batch.outcomes):
-            assert a.fault.fault_id == b.fault.fault_id
-            assert (a.model_detected, a.code_detected, a.classified_as) == \
-                (b.model_detected, b.code_detected, b.classified_as)
-        # the runner actually grouped: pristine-image cohort + singletons
-        assert runner.last_cohorts
-        sizes = sorted(len(ix) for _, ix in runner.last_cohorts)
-        assert sizes[-1] == 3  # control + 2 frame_loss seeds
-
+# -- board cohorts -----------------------------------------------------------
 
 class TestBoardCohort:
     def test_cohort_runs_bit_identical_to_serial_boards(self):

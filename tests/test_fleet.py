@@ -23,6 +23,7 @@ from repro.experiments.requirements import (
 from repro.faults import run_campaign
 from repro.fleet import (
     FleetRunner,
+    JobResult,
     JobSpec,
     SerialRunner,
     callable_ref,
@@ -183,6 +184,30 @@ class TestCampaignParity:
             traffic_light_code_watches,
             runner=FleetRunner(workers=4, chunk_size=2), **kw)
         assert summary_bytes(serial) == summary_bytes(fleet)
+
+
+class TestSerialRunnerHookPoints:
+    """``perfbench/`` times a campaign by wrapping ``SerialRunner.run``
+    in the class body and swapping ``repro.fleet.pool.run_job``; a
+    refactor that moves either hook point silently breaks its table."""
+
+    def test_run_is_defined_in_the_class_body(self):
+        assert "run" in SerialRunner.__dict__
+
+    def test_run_job_is_looked_up_in_the_pool_module_at_call_time(
+            self, monkeypatch):
+        import repro.fleet.pool as fleet_pool
+        specs = small_specs()[:3]
+        seen = []
+
+        def fake_run_job(spec):
+            seen.append(spec.index)
+            return JobResult(spec.index, spec.job_id, declined=True)
+
+        monkeypatch.setattr(fleet_pool, "run_job", fake_run_job)
+        results = SerialRunner().run(specs)
+        assert seen == [spec.index for spec in specs]
+        assert [result.index for result in results] == seen
 
 
 class TestMergeInvariance:

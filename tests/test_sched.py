@@ -6,9 +6,9 @@ The load-bearing property: ANY forced interleaving/steal order over any
 worker count and chunking yields byte-identical canonical merge,
 campaign fingerprint, trace store and live-alert transcript vs
 ``SerialRunner`` at the same master seed. Hypothesis drives the
-interleavings through :class:`SteppedInlineBackend`, which executes the
-real ``run_job`` path one item per poll on a caller-chosen virtual
-worker.
+interleavings through :class:`SteppedInlineBackend` (defined here, the
+test harness), which executes the real ``run_job`` path one item per
+poll on a caller-chosen virtual worker.
 """
 
 import filecmp
@@ -32,10 +32,8 @@ from repro.experiments.requirements import (
 from repro.fleet import (
     ElasticScheduler,
     FleetRunner,
-    InlineBackend,
     JobSpec,
     SerialRunner,
-    SteppedInlineBackend,
     WorkUnit,
     callable_ref,
     enumerate_campaign_jobs,
@@ -69,6 +67,66 @@ def spec(index, system_ref, kind="wrong_target"):
 
 def chunked(items, size):
     return [items[i:i + size] for i in range(0, len(items), size)]
+
+
+class SteppedInlineBackend:
+    """N virtual workers advanced one item per poll — the test harness.
+
+    ``choose(busy_slots, step)`` picks which busy slot executes its next
+    item, so a hypothesis test can force *any* interleaving of units
+    across virtual workers. Steal requests are honored exactly like a
+    real worker would: the chosen slot yields its untouched remainder
+    (never before its first item). Execution is still the real
+    *execute* path, in-process — which is what makes "any schedule is
+    byte-identical to serial" a provable property rather than a race.
+    """
+
+    supports_steal = True
+    supports_kill = False
+
+    def __init__(self, slot_count, choose, execute):
+        if slot_count < 1:
+            raise FleetError(f"slot_count must be >= 1, got {slot_count}")
+        self.slot_count = slot_count
+        self.choose = choose
+        self.execute = execute
+        self._busy = {}  # slot -> [uid, items, done]
+        self._steal = set()
+        self._step = 0
+
+    def dispatch(self, slot, uid, items):
+        self._busy[slot] = [uid, list(items), 0]
+
+    def steal(self, slot, uid):
+        self._steal.add(uid)
+
+    def poll(self, timeout_s):
+        busy = tuple(sorted(self._busy))
+        if not busy:
+            return []
+        slot = self.choose(busy, self._step)
+        self._step += 1
+        if slot not in self._busy:
+            raise FleetError(f"choose() picked idle slot {slot}; "
+                             f"busy: {busy}")
+        uid, items, done = self._busy[slot]
+        if uid in self._steal and 0 < done < len(items):
+            # exactly a real worker's window: between items, never
+            # before the first (yields always make progress)
+            self._steal.discard(uid)
+            del self._busy[slot]
+            return [("yield", slot, uid, done)]
+        result = self.execute(items[done])
+        self._busy[slot][2] = done + 1
+        events = [("result", slot, uid, result)]
+        if done + 1 == len(items):
+            del self._busy[slot]
+            self._steal.discard(uid)
+            events.append(("done", slot, uid))
+        return events
+
+    def close(self):
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -270,19 +328,6 @@ class TestStealScheduleByteIdentity:
         finally:
             shutil.rmtree(trace_dir, ignore_errors=True)
 
-    def test_batch_and_serial_runners_share_the_scheduler_core(self):
-        # the policy shells really do dispatch through sched.py: their
-        # inline schedules produce the canonical serial answer
-        from repro.fleet import BatchRunner
-        specs = enumerate_campaign_jobs(
-            traffic_light_system, traffic_light_monitor_suite,
-            traffic_light_code_watches, plan=InstrumentationPlan.full(),
-            **KW)
-        serial = SerialRunner().run(specs)
-        batch = BatchRunner().run(specs)
-        key = lambda results: [(r.index, r.status) for r in results]
-        assert key(serial) == key(batch)
-
 
 # ---------------------------------------------------------------------------
 # deadline/retry bookkeeping on a virtual clock (no processes, no sleeps)
@@ -346,8 +391,7 @@ class TestVirtualClockRetryBookkeeping:
         clock = VirtualClock()
         backend = _CrashOnceBackend({1})
         scheduler = ElasticScheduler(
-            backend, max_retries=2, retry_backoff_s=1.0, clock=clock,
-            cost_placement=False)
+            backend, max_retries=2, retry_backoff_s=1.0, clock=clock)
         items = [_Item(0), _Item(1), _Item(2)]
         results = scheduler.run([WorkUnit(items)])
         assert results == {0: ("ok", 0), 1: ("ok", 1), 2: ("ok", 2)}
@@ -374,7 +418,7 @@ class TestVirtualClockRetryBookkeeping:
         backend.dispatch = dispatch
         scheduler = ElasticScheduler(
             backend, max_retries=2, retry_backoff_s=0.5, clock=clock,
-            cost_placement=False, terminal_result=terminal_result)
+            terminal_result=terminal_result)
         results = scheduler.run([WorkUnit([_Item(0), _Item(1)])])
         assert results[0] == ("ok", 0)
         assert results[1] == ("terminal", 1)

@@ -103,6 +103,27 @@ class TestShardedEquivalence:
         assert_equivalent(system, monolithic, sharded)
 
 
+class TestEpochDispatch:
+    def test_every_dispatch_precedes_any_collect_in_each_epoch(self):
+        # one round trip per shard would serialize process shards; the
+        # inline shards share the protocol, so record the order there
+        sharded = ShardedDtmKernel(cruise_control_system(), shards=2)
+        calls = []
+        for i, shard in enumerate(sharded._shards):
+            def traced(method, name, i=i):
+                def wrapper(*args):
+                    calls.append((name, i))
+                    return method(*args)
+                return wrapper
+            shard.dispatch_run = traced(shard.dispatch_run, "dispatch_run")
+            shard.collect = traced(shard.collect, "collect")
+        sharded.run(ms(1))
+        epochs = ms(1) // sharded.epoch_us
+        per_epoch = [("dispatch_run", 0), ("dispatch_run", 1),
+                     ("collect", 0), ("collect", 1)]
+        assert calls == per_epoch * epochs
+
+
 class TestShardedGuards:
     def test_period_at_or_below_delay_rejected(self):
         # Conservative sync needs lookahead below every task period.
@@ -123,6 +144,24 @@ class TestShardedGuards:
         with pytest.raises(FleetError, match="system_ref"):
             ShardedDtmKernel(cruise_control_system(), shards=2,
                              backend="process")
+
+    @pytest.mark.parametrize("backend", ShardedDtmKernel.BACKENDS)
+    def test_every_view_refuses_after_close(self, backend):
+        sharded = ShardedDtmKernel(cruise_control_system(), shards=2,
+                                   backend=backend, system_ref=CRUISE_REF)
+        sharded.run(ms(10))
+        sharded.close()
+        views = [lambda: sharded.records,
+                 lambda: sharded.records_for("controller"),
+                 lambda: sharded.deadline_misses,
+                 lambda: sharded.jobs_skipped,
+                 lambda: sharded.records_dropped,
+                 lambda: sharded.jitter,
+                 lambda: sharded.signal_value("node0", "speed"),
+                 lambda: sharded.run(ms(20))]
+        for view in views:
+            with pytest.raises(FleetError, match="already closed"):
+                view()
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(FleetError, match="backend"):
