@@ -9,7 +9,19 @@ superinstruction fusion pass targets. Both decodings are measured:
   scoreboard metric since PR 2);
 * ``fused_instr_per_sec`` — fusion on (``Cpu.load`` fuses the loop body
   into ALU+STORE / ALU+JNZ superinstruction rows);
-* ``fusion_speedup`` — their ratio, the machine-independent gate.
+* ``fusion_speedup`` — their ratio, the machine-independent gate;
+* ``watched_fused_instr_per_sec`` — fusion on, with a write hook
+  watching four words the loop never stores to (a code debugger's
+  hardware watchpoints on other variables);
+* ``watch_fused_ratio`` — watched over unwatched fused rate, from
+  interleaved reps (``unwatched_fused_instr_per_sec`` is its base): what
+  unwatched stores cost now that the store rows match watch addresses
+  (floor-gated). The interleaved reps run after the other arms, on a
+  warmer interpreter, so their rates read higher than
+  ``fused_instr_per_sec``; only their ratio is gated;
+* ``checked_instr_per_sec`` — the same watched loop forced through the
+  per-instruction checked loop (``profile={}``), the route every write
+  hook used to take; recorded for context, not gated.
 
 Fusion must be *observably invisible*, so the run also asserts the two
 decodings retire identical instruction and cycle counts. The payload
@@ -63,13 +75,21 @@ def counting_loop(iterations: int):
     return asm.assemble()
 
 
-def run_once(iterations: int, fuse: bool):
+#: words the watched arms watch; the counting loop stores only to RAM_BASE
+WATCHED = [RAM_BASE + 1 + i for i in range(4)]
+
+
+def run_once(iterations: int, fuse: bool, watched: bool = False,
+             checked: bool = False):
     memory = MemoryMap(16)
     cpu = Cpu(memory, fuse=fuse)
     cpu.load(counting_loop(iterations))
     cpu.reset_task(0)
+    if watched:
+        memory.set_write_hook(lambda addr, value: None, WATCHED)
     start = time.perf_counter()
-    result = cpu.run(max_instructions=10 * iterations)
+    result = cpu.run(max_instructions=10 * iterations,
+                     profile={} if checked else None)
     wall_s = time.perf_counter() - start
     assert result.reason is StopReason.HALTED, result
     assert memory.peek(RAM_BASE) == iterations
@@ -87,6 +107,21 @@ def best_of(iterations: int, fuse: bool):
     return best
 
 
+def watch_arms(iterations: int):
+    """Best fused rate unwatched and watched, reps interleaved so a slow
+    stretch of the host hits both arms alike."""
+    best = {False: 0.0, True: 0.0}
+    results = {}
+    for _ in range(REPS):
+        for watched in (False, True):
+            result, wall_s, _ = run_once(iterations, True, watched)
+            best[watched] = max(best[watched],
+                                result.instructions / wall_s)
+            results[watched] = result
+    assert results[True] == results[False], results
+    return best[False], best[True]
+
+
 def main() -> None:
     quick = "--quick" in sys.argv
     iterations = QUICK_ITERS if quick else FULL_ITERS
@@ -96,6 +131,12 @@ def main() -> None:
     plain_rate, plain_result, plain_wall, _ = best_of(iterations, fuse=False)
     fused_rate, fused_result, fused_wall, fused_rows = best_of(
         iterations, fuse=True)
+    unwatched_rate, watched_rate = watch_arms(iterations)
+    # the checked loop is ~10x slower: a quick-sized run is enough
+    checked_rate = max(
+        result.instructions / wall_s for result, wall_s, _ in (
+            run_once(QUICK_ITERS, True, watched=True, checked=True)
+            for _ in range(3)))
 
     # measured opcode mix of the scoreboard workload (plain decoded
     # opcodes — what the fusion and batch tiers dispatch on)
@@ -119,6 +160,10 @@ def main() -> None:
         "instr_per_sec": round(plain_rate),
         "fused_instr_per_sec": round(fused_rate),
         "fusion_speedup": round(fused_rate / plain_rate, 2),
+        "watched_fused_instr_per_sec": round(watched_rate),
+        "unwatched_fused_instr_per_sec": round(unwatched_rate),
+        "watch_fused_ratio": round(watched_rate / unwatched_rate, 3),
+        "checked_instr_per_sec": round(checked_rate),
         "fused_rows": fused_rows,
         "cycles": plain_result.cycles,
         "wall_s": round(plain_wall, 6),
@@ -137,7 +182,10 @@ def main() -> None:
         handle.write("\n")
     print(f"{best['instr_per_sec']:,} instr/sec unfused, "
           f"{best['fused_instr_per_sec']:,} fused "
-          f"({best['fusion_speedup']}x, {fused_rows} superinstruction rows; "
+          f"({best['fusion_speedup']}x, {fused_rows} superinstruction rows), "
+          f"{best['watched_fused_instr_per_sec']:,} fused with 4 watched "
+          f"words ({best['watch_fused_ratio']}x unwatched), "
+          f"{best['checked_instr_per_sec']:,} checked loop ("
           f"{best['instructions']:,} instructions, "
           f"{best['cycles']:,} cycles) -> {out}")
 

@@ -6,6 +6,12 @@ model element's code"), a small number of *hardware* watchpoints on data
 words, single-stepping, and symbol inspection. It deliberately knows
 nothing about models — it is the code-level baseline.
 
+The watchpoints are address comparators, as on a Cortex-M DWT: the
+debugger hands the memory its watched addresses, the CPU's store rows
+match against them, and only a store to a watched word reaches
+:meth:`SourceDebugger._write_hook`. Unwatched stores cost the target
+nothing, so the baseline runs in the fast interpreter loops.
+
 Memory inspection routes through a :class:`~repro.comm.link.DebugLink`
 (default: the zero-cost in-process :class:`~repro.comm.link.DirectLink`),
 so pointing the same debugger at a JTAG link prices every ``inspect`` as
@@ -65,7 +71,7 @@ class SourceDebugger:
         self.hits: List[WatchHit] = []
         self._shadow: dict = {}
         self.on_hit: Optional[Callable[[WatchHit], None]] = None
-        board.memory.set_write_hook(self._write_hook)
+        board.memory.set_write_hook(self._write_hook, ())
 
     # -- breakpoints -----------------------------------------------------------
 
@@ -105,6 +111,8 @@ class SourceDebugger:
         watchpoint = Watchpoint(symbol, addr, predicate, description)
         self.watchpoints.append(watchpoint)
         self._shadow[addr] = self.board.memory.peek(addr)
+        self.board.memory.set_write_hook(
+            self._write_hook, [wp.addr for wp in self.watchpoints])
         return watchpoint
 
     def _write_hook(self, addr: int, value: int) -> None:
@@ -118,8 +126,7 @@ class SourceDebugger:
                 self.hits.append(hit)
                 if self.on_hit is not None:
                     self.on_hit(hit)
-        if addr in self._shadow:
-            self._shadow[addr] = value
+        self._shadow[addr] = value
 
     # -- execution control ----------------------------------------------------
 

@@ -26,7 +26,7 @@ from repro.comm.channel import ActiveChannel, CompositeChannel
 from repro.comm.jtag import JtagProbe, TapController
 from repro.comm.link import JtagLink, write_patches
 from repro.comm.rs232 import Rs232Link
-from repro.debugger.gdb import SourceDebugger
+from repro.debugger.gdb import HW_WATCHPOINT_SLOTS, SourceDebugger
 from repro.engine.checks import MonitorSuite
 from repro.engine.engine import DebuggerEngine
 from repro.engine.trace import ExecutionTrace
@@ -246,7 +246,7 @@ def _run_code_debugger(system: System, firmware: FirmwareImage,
         debugger = SourceDebugger(kernel.board_of(node), firmware)
         installed = 0
         for symbol, predicate, description in watch_specs:
-            if installed >= 4:
+            if installed >= HW_WATCHPOINT_SLOTS:
                 break
             if not firmware.symbols.has(symbol):
                 continue

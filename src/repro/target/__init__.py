@@ -97,9 +97,11 @@ mid-sequence, an address is outside RAM, the constituents' transient
 stack pushes would overflow, or a fused divide sees a zero divisor — the
 row decomposes back to per-instruction execution, so LIMIT stops land on
 a legal unfused pc and faults carry the constituent's pc and counters.
-Debug features are untouched: breakpoints, watchpoints and
-single-stepping route to the per-instruction checked loop exactly as
-before, at any pc. ``tests/test_superinstructions.py`` holds the
+Breakpoints and single-stepping route to the per-instruction checked
+loop, at any pc. Data watchpoints stay in the fused loop: a fused store
+to a watched word calls the write hook with ``pc`` at its constituent
+STORE and the cycles through it, exactly what the checked loop shows.
+``tests/test_superinstructions.py`` holds the
 lockstep proof; ``benchmarks/perf_interp.py`` scores the speedup
 (``fusion_speedup``, floor-gated in CI).
 

@@ -223,9 +223,10 @@ class BatchCpu:
                 continue
             if (cpu.memory.write_hook is not None
                     or (break_on_breakpoints and cpu.breakpoints)):
-                # data watchpoints and armed breakpoints need the
-                # checked scalar loop throughout (and breakpoint-resume
-                # skip semantics); leave _resume_pc to the scalar run
+                # data watchpoints (matched on the scalar loops' store
+                # rows) and armed breakpoints need the scalar Cpu
+                # throughout (and breakpoint-resume skip semantics);
+                # leave _resume_pc to the scalar run
                 outcomes[lane] = self._finish_scalar(lane, 0, 0, limits[lane])
                 continue
             cpu._resume_pc = -1

@@ -16,13 +16,17 @@ built around four rules:
 3. **Hoist everything.** Memory cells, the stack's bound ``append``/``pop``,
    counters and constants live in locals for the duration of a run; state
    is written back once in a ``finally``.
-4. **Zero-cost when unused.** Breakpoints, data-watchpoint write hooks and
-   single-stepping are resolved **once, before the loop**: if any is
-   active, execution routes to the fully-checked debug loop
-   (:meth:`_run_debug`); otherwise the fast loop contains not a single
-   hook or breakpoint test. Stack underflow and runaway program counters
-   are caught by the ``IndexError`` of the faulting list access instead of
-   per-instruction guards.
+4. **Zero-cost when unused.** Breakpoints, single-stepping and profiles
+   are resolved **once, before the loop**: if any is active, execution
+   routes to the fully-checked debug loop (:meth:`_run_debug`); otherwise
+   the fast loops contain not a single breakpoint test. Data watchpoints
+   are priced on the store rows instead, like a debug unit's address
+   comparators: every store-class row (STORE, STI and the fused stores)
+   tests ``watch and index in watch`` against the memory's watched cell
+   indexes, so an unwatched store costs one falsy test and only a watched
+   one calls the write hook. Stack underflow and runaway program counters
+   are caught by the ``IndexError`` of the faulting list access instead
+   of per-instruction guards.
 
 Semantics are bit-identical to the reference expression interpreter
 (:mod:`repro.comdes.expr`) via the shared :mod:`repro.util.intmath` rules:
@@ -301,9 +305,14 @@ class Cpu:
             pc_profile: Optional[dict] = None) -> RunResult:
         """Execute until HALT, a debug stop, or the instruction budget.
 
-        The debug features are priced here, once: only when a write hook,
-        an armed breakpoint set, single-stepping, or an opcode profile is
-        actually present does execution take the checked path.
+        The debug features are priced here, once: only when an armed
+        breakpoint set, single-stepping, or a profile is actually present
+        does execution take the checked path. A write hook does not pick
+        the loop: its price is paid on the store rows of whichever loop
+        runs, and only for stores to a watched address. A hit sees the
+        machine exactly as the checked loop shows it: ``self.pc`` is the
+        STORE's pc (the constituent STORE inside a fused row) and
+        ``self.cycles`` includes that STORE.
 
         ``profile`` is the measurement hook driving fusion and batch
         decisions: pass a dict (or ``collections.Counter``) and every
@@ -322,7 +331,6 @@ class Cpu:
         if self.halted:
             return RunResult(StopReason.HALTED, 0, 0)
         if (single_step or profile is not None or pc_profile is not None
-                or self.memory.write_hook is not None
                 or (break_on_breakpoints and self.breakpoints)):
             return self._run_debug(max_instructions, single_step,
                                    break_on_breakpoints, profile,
@@ -336,7 +344,8 @@ class Cpu:
         return self._run_fast(max_instructions)
 
     def _run_fast(self, limit: int) -> RunResult:
-        """The hot loop: no hooks, no breakpoints, no string/dict dispatch."""
+        """The hot loop: no breakpoints, no string/dict dispatch; store
+        rows test the watch set (see the module's rule 4)."""
         memory = self.memory
         rows = self._rows
         ncode = len(rows)
@@ -348,6 +357,8 @@ class Cpu:
         depth = self.stack_depth
         emit_log = self.emit_log
         handler = self.emit_handler
+        hook = memory.write_hook
+        watch = memory.watched
         base_cycles = self.cycles
         sdiv_ = sdiv
         smod_ = smod
@@ -397,6 +408,12 @@ class Cpu:
                             f"STORE outside RAM: 0x{arg:08x}", pc)
                     cells[index] = pop()
                     writes += 1
+                    if watch and index in watch:
+                        self.pc = pc
+                        self.cycles = base_cycles + run_cycles
+                        in_handler = True
+                        hook(arg, cells[index])
+                        in_handler = False
                     pc += 1
                 elif op == ADD:
                     b = pop(); a = pop()
@@ -528,6 +545,12 @@ class Cpu:
                         raise TargetFault("STI outside RAM", pc)
                     cells[index] = value
                     writes += 1
+                    if watch and index in watch:
+                        self.pc = pc
+                        self.cycles = base_cycles + run_cycles
+                        in_handler = True
+                        hook(index + ram_base, value)
+                        in_handler = False
                     pc += 1
                 elif op == EMIT:
                     value = pop()
@@ -549,7 +572,7 @@ class Cpu:
         except IndexError:
             # The two structural faults surface as IndexError of the list
             # access itself — no per-instruction guard needed. An emit
-            # handler's own IndexError propagates untouched.
+            # handler's or write hook's own IndexError propagates untouched.
             if in_handler:
                 raise
             if not 0 <= pc < ncode:
@@ -594,6 +617,8 @@ class Cpu:
         depth = self.stack_depth
         emit_log = self.emit_log
         handler = self.emit_handler
+        hook = memory.write_hook
+        watch = memory.watched
         base_cycles = self.cycles
         sdiv_ = sdiv
         smod_ = smod
@@ -687,7 +712,17 @@ class Cpu:
                     reads += amode + bmode
                     writes += 1
                     n += 3
-                    pc += 4
+                    if watch and yi in watch:
+                        # the hit is the constituent STORE's, as unfused
+                        pc += 3
+                        self.pc = pc
+                        self.cycles = base_cycles + run_cycles
+                        in_handler = True
+                        hook(yi + ram_base, r)
+                        in_handler = False
+                        pc += 1
+                    else:
+                        pc += 4
                 elif op == F_ALU_JZ or op == F_ALU_JNZ:
                     amode, aval, bmode, bval, alu, target = arg
                     if (n + 3 > limit or len(stack) + 2 > depth
@@ -756,7 +791,16 @@ class Cpu:
                     cells[yi] = imm
                     writes += 1
                     n += 1
-                    pc += 2
+                    if watch and yi in watch:
+                        pc += 1
+                        self.pc = pc
+                        self.cycles = base_cycles + run_cycles
+                        in_handler = True
+                        hook(yi + ram_base, imm)
+                        in_handler = False
+                        pc += 1
+                    else:
+                        pc += 2
                 elif op == F_LOAD_ST:
                     ai, yi = arg
                     if (n >= limit or not 0 <= ai < nram
@@ -769,7 +813,16 @@ class Cpu:
                     reads += 1
                     writes += 1
                     n += 1
-                    pc += 2
+                    if watch and yi in watch:
+                        pc += 1
+                        self.pc = pc
+                        self.cycles = base_cycles + run_cycles
+                        in_handler = True
+                        hook(yi + ram_base, cells[yi])
+                        in_handler = False
+                        pc += 1
+                    else:
+                        pc += 2
                 elif op == F_LOAD_JZ or op == F_LOAD_JNZ:
                     ai, target = arg
                     if (n >= limit or not 0 <= ai < nram
@@ -826,6 +879,12 @@ class Cpu:
                             f"STORE outside RAM: 0x{arg:08x}", pc)
                     cells[index] = pop()
                     writes += 1
+                    if watch and index in watch:
+                        self.pc = pc
+                        self.cycles = base_cycles + run_cycles
+                        in_handler = True
+                        hook(arg, cells[index])
+                        in_handler = False
                     pc += 1
                 elif op == ADD:
                     b = pop(); a = pop()
@@ -957,6 +1016,12 @@ class Cpu:
                         raise TargetFault("STI outside RAM", pc)
                     cells[index] = value
                     writes += 1
+                    if watch and index in watch:
+                        self.pc = pc
+                        self.cycles = base_cycles + run_cycles
+                        in_handler = True
+                        hook(index + ram_base, value)
+                        in_handler = False
                     pc += 1
                 elif op == EMIT:
                     value = pop()
@@ -997,13 +1062,15 @@ class Cpu:
                    break_on_breakpoints: bool,
                    profile: Optional[dict] = None,
                    pc_profile: Optional[dict] = None) -> RunResult:
-        """Full-fidelity loop: breakpoints, write hooks, single-stepping,
-        opcode-frequency profiling.
+        """Full-fidelity loop: breakpoints, single-stepping, opcode and
+        pc profiling.
 
         Memory goes through :meth:`MemoryMap.read_word` / ``write_word`` so
         data watchpoints and access accounting behave exactly like the
         reference semantics; ``self.pc``/``self.cycles`` are kept current so
-        hooks observe a consistent machine state.
+        hooks observe a consistent machine state. The fast loops reproduce
+        that state at every watched store, so a write hook alone never
+        routes here.
         """
         memory = self.memory
         rows = self._rows
@@ -1067,11 +1134,19 @@ class Cpu:
                 raise TargetFault(f"jump target {target} outside code", pc)
             return target
 
+        # LOAD and STORE check the address, then the stack, then access
+        # memory: the fast loops' order, so a fault leaves the same
+        # stack and counters on every loop
         if op == OP_LOAD:
+            if memory.contains(arg) and len(stack) >= depth:
+                raise TargetFault("stack overflow", pc)
             push(memory.read_word(arg))
         elif op == OP_PUSH:
             push(arg)
         elif op == OP_STORE:
+            if not memory.contains(arg):
+                raise TargetFault(f"memory access outside RAM: 0x{arg:08x}",
+                                  pc)
             need(1)
             memory.write_word(arg, stack.pop())
         elif op == OP_JMP:

@@ -4,20 +4,23 @@ Two access planes with different accounting, mirroring real silicon:
 
 * **Target plane** — :meth:`MemoryMap.read_word` / :meth:`write_word`: what
   the CPU (and anything pretending to be the CPU) uses. Counted in
-  :attr:`reads` / :attr:`writes`, and writes fire the optional write hook
-  (the debug unit's data-watchpoint comparators).
+  :attr:`reads` / :attr:`writes`, and a write to a *watched* address fires
+  the optional write hook. Like the debug unit's data-watchpoint
+  comparators, the address match is the memory's job: the hook is never
+  called for an address outside :attr:`watched`.
 * **Backdoor plane** — :meth:`peek` / :meth:`poke`: DMA-style access used
   by the JTAG debug port and the test harness. Never counted, never hooks —
   which is exactly why passive monitoring costs the target nothing.
 
 The CPU's hot loop bypasses the method layer entirely and indexes
-:attr:`cells` directly (with the same bounds/accounting semantics inlined);
-the methods here are the reference implementation of those semantics.
+:attr:`cells` directly (with the same bounds/accounting semantics and the
+same ``index in watched`` test inlined); the methods here are the
+reference implementation of those semantics.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Collection, Dict, Iterable, Optional
 
 from repro.errors import TargetFault
 
@@ -30,7 +33,8 @@ WriteHook = Callable[[int, int], None]
 class MemoryMap:
     """Word-addressed RAM of ``words`` cells starting at :data:`RAM_BASE`."""
 
-    __slots__ = ("cells", "reads", "writes", "write_hook", "_init_image")
+    __slots__ = ("cells", "reads", "writes", "write_hook", "watched",
+                 "_init_image")
 
     def __init__(self, words: int = 4096) -> None:
         if words <= 0:
@@ -39,6 +43,8 @@ class MemoryMap:
         self.reads = 0
         self.writes = 0
         self.write_hook: Optional[WriteHook] = None
+        #: cell indexes whose writes fire :attr:`write_hook` (empty: none)
+        self.watched: Collection[int] = frozenset()
         self._init_image: Dict[int, int] = {}
 
     # -- geometry -----------------------------------------------------------
@@ -65,16 +71,28 @@ class MemoryMap:
         return value
 
     def write_word(self, addr: int, value: int) -> None:
-        """A target-side write: counted, fires the write hook."""
-        self.cells[self._index(addr)] = value
+        """A target-side write: counted; fires the write hook if *addr*
+        is watched."""
+        index = self._index(addr)
+        self.cells[index] = value
         self.writes += 1
-        hook = self.write_hook
-        if hook is not None:
-            hook(addr, value)
+        if index in self.watched:
+            self.write_hook(addr, value)
 
-    def set_write_hook(self, hook: Optional[WriteHook]) -> None:
-        """Install (or clear) the data-watchpoint hook for target writes."""
+    def set_write_hook(self, hook: Optional[WriteHook],
+                       addrs: Optional[Iterable[int]] = None) -> None:
+        """Install (or clear) the data-watchpoint hook for target writes.
+
+        *addrs* are the watched addresses (the comparators); the default
+        watches every RAM word. Clearing the hook clears the watch set.
+        """
         self.write_hook = hook
+        if hook is None:
+            self.watched = frozenset()
+        elif addrs is None:
+            self.watched = range(len(self.cells))
+        else:
+            self.watched = frozenset(self._index(addr) for addr in addrs)
 
     # -- backdoor plane (debug port, harness) -------------------------------
 

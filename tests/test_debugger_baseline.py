@@ -3,11 +3,15 @@
 import pytest
 
 from repro.codegen import InstrumentationPlan, generate_firmware
-from repro.comdes.examples import traffic_light_system
+from repro.comdes.examples import cruise_control_system, traffic_light_system
 from repro.debugger.gdb import HW_WATCHPOINT_SLOTS, SourceDebugger
 from repro.errors import DebuggerError
+from repro.experiments.requirements import cruise_code_watches
+from repro.rtos.kernel import DtmKernel
+from repro.sim.kernel import Simulator
 from repro.target.board import Board
-from repro.target.cpu import StopReason
+from repro.target.cpu import Cpu, StopReason
+from repro.util.timeunits import sec
 
 
 def make_debugger():
@@ -126,3 +130,55 @@ class TestInspection:
         debugger.break_at_path("sm:lights.lamp")
         debugger.run_task("lights")
         assert "lights.lamp" in debugger.backtrace()
+
+
+def cruise_code_debugger_run():
+    """The campaign's code-debugger set-up on generated cruise-control
+    firmware, with change watches on its watched symbols so the run
+    trips them: (hit transcript, hit times, backtraces, firmware)."""
+    system = cruise_control_system()
+    firmware = generate_firmware(system, InstrumentationPlan.full())
+    sim = Simulator()
+    kernel = DtmKernel(system, firmware, sim=sim, latched=True)
+    debuggers, times, backtraces = [], [], []
+    for node in system.nodes():
+        debugger = SourceDebugger(kernel.board_of(node), firmware)
+        for symbol, _predicate, description in cruise_code_watches():
+            if firmware.symbols.has(symbol):
+                debugger.watch(symbol, None, description)
+
+        def on_hit(hit, debugger=debugger):
+            times.append(sim.now)
+            backtraces.append((hit.pc, debugger.backtrace()))
+
+        debugger.on_hit = on_hit
+        debuggers.append(debugger)
+    kernel.run(sec(2))
+    hits = [(h.watchpoint.symbol, h.value, h.previous, h.pc, h.cycles)
+            for debugger in debuggers for h in debugger.hits]
+    return hits, times, backtraces, firmware
+
+
+class TestWatchpointFidelity:
+    def test_fast_loop_hits_equal_checked_loop_hits(self, monkeypatch):
+        """Watched stores run in the fused loop; every hit must carry the
+        pc, cycles and simulated time the checked loop reports."""
+        with monkeypatch.context() as patch:
+            patch.setattr(Cpu, "_run_debug", lambda *args: pytest.fail(
+                "the code debugger must not need the checked loop"))
+            shipped = cruise_code_debugger_run()
+        run = Cpu.run
+        monkeypatch.setattr(Cpu, "run", lambda self, *args, **kwargs: run(
+            self, *args, profile={}, **kwargs))
+        checked = cruise_code_debugger_run()
+        hits, times, backtraces, firmware = shipped
+        assert len(hits) > 50
+        assert {hit[0] for hit in hits} == {
+            symbol for symbol, _, _ in cruise_code_watches()}
+        assert hits == checked[0]
+        assert times == checked[1]
+        assert backtraces == checked[2]
+        for pc, backtrace in backtraces:
+            store = firmware.code[pc]
+            assert store.op == "STORE" and store.src_path
+            assert backtrace.endswith(f" in <{store.src_path}>")

@@ -8,7 +8,18 @@ read/write counters and fault pcs — including budget stops landing
 mid-sequence and breakpoints armed over fused regions (which route to
 the per-instruction ``_run_debug`` loop). Randomized programs are
 codegen-shaped: operand/operand/alu/store quads, constant and move
-pairs, compare-and-branch, bounded loops, EMITs and unfusable filler.
+pairs, compare-and-branch, bounded loops, EMITs, indirect STI stores
+and unfusable filler.
+
+Data watchpoints run inside the fast loops: every store-class row
+(STORE, STI and the fused ALU+STORE, PUSH+STORE and LOAD+STORE rows)
+matches its cell against the memory's watch set. The proof here is that
+the write hook's transcript ``(addr, value, cpu.pc, cpu.cycles)`` and
+the machine state at every stop are the same from the fused loop, the
+unfused loop (``fuse=False``) and the checked loop (forced with
+``profile={}``), for watch sets that are empty, all of RAM, or the
+words the program really stores to, across budget chunks, transient
+stack overflows, zero divisors and out-of-RAM stores.
 """
 
 import pytest
@@ -87,10 +98,11 @@ snip_loop = st.tuples(st.just("loop"), st.integers(1, 5), addr_ix,
 snip_emit = st.tuples(st.just("emit"), st.integers(1, 5), operand,
                       st.integers(1, 6))
 snip_plain = st.tuples(st.just("plain"), addr_ix, addr_ix)
+snip_sti = st.tuples(st.just("sti"), imm, addr_ix)
 
 snippets = st.lists(
     st.one_of(snip_alu_store, snip_const_store, snip_move, snip_cmp_branch,
-              snip_load_branch, snip_loop, snip_emit, snip_plain),
+              snip_load_branch, snip_loop, snip_emit, snip_plain, snip_sti),
     min_size=1, max_size=8,
 )
 
@@ -168,6 +180,30 @@ def assemble_program(snips):
             asm.emit("PUSH", path_id)
             emit_operand(asm, value)
             asm.emit("EMIT", cmd_kind)
+        elif kind == "sti":
+            _, value, y = snip
+            asm.emit("PUSH", value)
+            asm.emit("PUSH", RAM_BASE + y)
+            asm.emit("STI")
+        elif kind == "div_cell":
+            # a fused divide by a RAM cell: zero (a trap) unless stored
+            _, a, b, alu, y = snip
+            emit_operand(asm, a)
+            asm.emit("LOAD", RAM_BASE + b)
+            asm.emit(alu)
+            asm.emit("STORE", RAM_BASE + y)
+        elif kind == "residue":
+            # leaves a word on the stack: later quads near the depth
+            # limit must decompose to a transient-overflow fault
+            asm.emit("PUSH", snip[1])
+        elif kind == "wild_store":
+            _, value, indirect = snip
+            asm.emit("PUSH", value)
+            if indirect:
+                asm.emit("PUSH", RAM_BASE + RAM_WORDS)
+                asm.emit("STI")
+            else:
+                asm.emit("STORE", RAM_BASE + RAM_WORDS)
         else:  # plain, unfusable filler
             _, a, y = snip
             asm.emit("LOAD", RAM_BASE + a)
@@ -476,10 +512,189 @@ class TestFirmwareIntegration:
         assert result.reason is StopReason.HALTED
 
     def test_run_route_selection_unchanged(self):
-        """Debug features still force the per-instruction loop; the fused
-        loop only ever runs hook-free."""
+        """Breakpoints still force the per-instruction loop; a write hook
+        alone does not, since the fused loop matches watched stores on
+        its store rows."""
         cpu = build(counting_loop(3), fuse=True)
         cpu.breakpoints.add(1)
         result = cpu.run(break_on_breakpoints=True)
         assert result.reason is StopReason.BREAKPOINT
         assert cpu.pc == 1
+
+        cpu = build(counting_loop(3), fuse=True)
+        hits = []
+        cpu.memory.set_write_hook(lambda a, v: hits.append(v), [RAM_BASE])
+        cpu._run_debug = lambda *args: pytest.fail(
+            "a write hook must not route to the checked loop")
+        assert cpu.run().reason is StopReason.HALTED
+        assert hits == [1, 2, 3]
+
+
+# -- data watchpoints in the fast loops -------------------------------------
+
+LOOPS = ("fused", "unfused", "checked")
+
+# codegen-shaped programs plus the shapes that make a row decompose or
+# trap: divides by a (usually zero) RAM cell, stack residue for
+# transient overflows, and a store just past the end of RAM
+snip_div_cell = st.tuples(st.just("div_cell"), operand, addr_ix,
+                          st.sampled_from(("DIV", "MOD")), addr_ix)
+snip_residue = st.tuples(st.just("residue"), imm)
+snip_wild_store = st.tuples(st.just("wild_store"), imm, st.booleans())
+trap_snippet = st.one_of(st.none(), snip_div_cell, snip_wild_store)
+watch_programs = st.builds(
+    lambda body, trap, at: body[:at] + ([trap] if trap else []) + body[at:],
+    st.lists(st.one_of(snip_alu_store, snip_const_store, snip_move,
+                       snip_cmp_branch, snip_load_branch, snip_loop,
+                       snip_emit, snip_plain, snip_sti, snip_residue),
+             min_size=1, max_size=8),
+    trap_snippet,
+    st.integers(0, 8),
+)
+
+
+def stored_addrs(code):
+    """The in-RAM addresses the program names as STORE or STI targets."""
+    addrs = set()
+    for pc, instr in enumerate(code):
+        if instr.op == "STORE":
+            addrs.add(instr.arg)
+        elif instr.op == "STI" and code[pc - 1].op == "PUSH":
+            addrs.add(code[pc - 1].arg)
+    return sorted(a for a in addrs if 0 <= a - RAM_BASE < RAM_WORDS)
+
+
+def draw_watch(data, code):
+    """Empty, all of RAM (None: the default), or up to four words, drawn
+    mostly from the addresses the program really stores to."""
+    stored = stored_addrs(code)
+    choices = [st.just(()), st.none(),
+               st.lists(addr_ix.map(lambda ix: RAM_BASE + ix),
+                        max_size=4, unique=True)]
+    if stored:
+        choices.append(st.lists(st.sampled_from(stored), min_size=1,
+                                max_size=4, unique=True))
+    return data.draw(st.one_of(*choices))
+
+
+def build_watched(code, loop, addrs, depth=STACK_DEPTH):
+    """A CPU whose write hook logs (addr, value, pc, cycles) per hit."""
+    cpu = build(code, fuse=loop != "unfused", depth=depth)
+    transcript = []
+
+    def hook(addr, value):
+        transcript.append((addr, value, cpu.pc, cpu.cycles))
+
+    if addrs is None:
+        cpu.memory.set_write_hook(hook)
+    else:
+        cpu.memory.set_write_hook(hook, addrs)
+    return cpu, transcript
+
+
+def run_loop(cpu, loop, limit=RUN_LIMIT):
+    """Run on the named loop; a fault is ("fault", pc) because the
+    checked loop words its messages differently."""
+    try:
+        if loop == "checked":
+            result = cpu.run(max_instructions=limit, profile={})
+        else:
+            result = cpu.run(max_instructions=limit)
+        return (result.reason, None)
+    except TargetFault as fault:
+        return ("fault", fault.pc)
+
+
+def run_chunks(code, loop, addrs, depth, chunks):
+    cpu, transcript = build_watched(code, loop, addrs, depth)
+    stops = []
+    for limit in list(chunks) + [RUN_LIMIT]:
+        outcome = run_loop(cpu, loop, limit)
+        stops.append((outcome, snap(cpu)))
+        if cpu.halted or outcome[0] == "fault":
+            break
+    return stops, transcript
+
+
+class TestWatchedStores:
+    @settings(max_examples=80, deadline=None)
+    @given(prog=watch_programs, data=st.data(),
+           depth=st.sampled_from((1, 2, 3, 4, STACK_DEPTH)),
+           chunks=st.lists(st.integers(1, 7), max_size=24))
+    def test_hit_transcript_identical_across_loops(self, prog, data,
+                                                   depth, chunks):
+        """Same hits, at the same pc and cycle count, and the same
+        machine at every budget stop, from all three loops."""
+        code = assemble_program(prog)
+        addrs = draw_watch(data, code)
+        fused = run_chunks(code, "fused", addrs, depth, chunks)
+        assert fused == run_chunks(code, "unfused", addrs, depth, chunks)
+        assert fused == run_chunks(code, "checked", addrs, depth, chunks)
+
+    def test_every_store_row_reports_its_constituent_store(self):
+        code = [Instr("PUSH", 5), Instr("STORE", RAM_BASE),          # PUSH+ST
+                Instr("LOAD", RAM_BASE), Instr("STORE", RAM_BASE + 1),  # move
+                Instr("LOAD", RAM_BASE + 1), Instr("PUSH", 2),
+                Instr("MUL"), Instr("STORE", RAM_BASE + 2),          # quad
+                Instr("PUSH", 9), Instr("PUSH", RAM_BASE + 3),
+                Instr("STI"),
+                Instr("LOAD", RAM_BASE + 2), Instr("NOT"),
+                Instr("STORE", RAM_BASE + 4),                        # plain
+                Instr("HALT")]
+        addrs = [RAM_BASE + ix for ix in range(5)]
+        transcripts = {}
+        for loop in LOOPS:
+            cpu, transcripts[loop] = build_watched(code, loop, addrs)
+            assert run_loop(cpu, loop) == (StopReason.HALTED, None)
+        assert build(code, fuse=True).fused_rows == 3
+        hits = transcripts["fused"]
+        assert [(addr, value, pc) for addr, value, pc, _ in hits] == [
+            (RAM_BASE, 5, 1), (RAM_BASE + 1, 5, 3), (RAM_BASE + 2, 10, 7),
+            (RAM_BASE + 3, 9, 10), (RAM_BASE + 4, 0, 13)]
+        assert hits == transcripts["unfused"] == transcripts["checked"]
+
+    @pytest.mark.parametrize("code, depth", [
+        # LOAD overflowing the stack: no read is counted
+        ([Instr("PUSH", 1), Instr("LOAD", RAM_BASE), Instr("HALT")], 1),
+        # STORE past the end of RAM: the operand stays on the stack
+        ([Instr("PUSH", 1), Instr("STORE", RAM_BASE + RAM_WORDS),
+          Instr("HALT")], STACK_DEPTH),
+    ])
+    def test_faults_leave_identical_state_on_every_loop(self, code, depth):
+        stops = []
+        for loop in LOOPS:
+            cpu = build(code, fuse=loop != "unfused", depth=depth)
+            stops.append((run_loop(cpu, loop), snap(cpu)))
+        assert stops[0] == stops[1] == stops[2]
+        assert stops[0][0] == ("fault", 1)
+
+    def test_unwatched_stores_never_call_the_hook(self):
+        code = counting_loop(50)
+        for loop in LOOPS:
+            cpu, transcript = build_watched(code, loop, [RAM_BASE + 1])
+            assert run_loop(cpu, loop) == (StopReason.HALTED, None)
+            assert transcript == []
+            assert cpu.memory.writes == 50
+
+    def test_hook_index_error_propagates_untouched(self):
+        """A hook's own IndexError is not mistaken for a structural
+        fault, exactly like an emit handler's; the machine stops at the
+        quad's constituent STORE on every loop."""
+        code = [Instr("LOAD", RAM_BASE), Instr("PUSH", 1), Instr("ADD"),
+                Instr("STORE", RAM_BASE + 1), Instr("HALT")]
+        states = []
+        for loop in LOOPS:
+            cpu = build(code, fuse=loop != "unfused")
+
+            def hook(addr, value):
+                raise IndexError("raised by the hook")
+
+            cpu.memory.set_write_hook(hook, [RAM_BASE + 1])
+            with pytest.raises(IndexError, match="raised by the hook"):
+                if loop == "checked":
+                    cpu.run(profile={})
+                else:
+                    cpu.run()
+            states.append(snap(cpu))
+        assert states[0] == states[1] == states[2]
+        assert states[0]["pc"] == 3 and states[0]["instr"] == 4

@@ -159,33 +159,45 @@ def _random_program(rng, length=60):
     return asm.assemble()
 
 
+#: how a run is made: plain fast loop, fast loop with every RAM word
+#: watched, and the checked loop (a profile forces it) with the same hook
+PATHS = ("fast", "hooked", "checked")
+
+
+def _run_path(code, path, ram_words=16):
+    """Run *code* from pc 0 on *path*: (cpu, result, hooked writes)."""
+    memory = MemoryMap(ram_words)
+    cpu = Cpu(memory, Gpio())
+    writes = []
+    if path != "fast":
+        memory.set_write_hook(lambda a, v: writes.append((a, v)))
+    cpu.load(code)
+    cpu.reset_task(0)
+    result = cpu.run(profile={} if path == "checked" else None)
+    return cpu, result, writes
+
+
 class TestFastAndDebugPathsAgree:
-    """One semantics, two loops: the specialization must be unobservable."""
+    """One semantics, three ways to run it: the specialization must be
+    unobservable."""
 
     def test_random_programs_identical_outcomes(self):
         rng = random.Random(1234)
         for _ in range(25):
             code = _random_program(rng)
+            fast_cpu, fast, _ = _run_path(code, "fast", ram_words=64)
+            hooked_cpu, hooked, hooked_writes = _run_path(
+                code, "hooked", ram_words=64)
+            debug_cpu, debug, checked_writes = _run_path(
+                code, "checked", ram_words=64)
 
-            fast_memory = MemoryMap(64)
-            fast_cpu = Cpu(fast_memory, Gpio())
-            fast_cpu.load(code)
-            fast_cpu.reset_task(0)
-            fast = fast_cpu.run()
-
-            debug_memory = MemoryMap(64)
-            debug_cpu = Cpu(debug_memory, Gpio())
-            debug_cpu.load(code)
-            debug_cpu.reset_task(0)
-            writes = []
-            debug_memory.set_write_hook(lambda a, v: writes.append((a, v)))
-            debug = debug_cpu.run()
-
-            assert fast.reason is debug.reason is StopReason.HALTED
-            assert fast.instructions == debug.instructions
-            assert fast.cycles == debug.cycles
-            assert fast_memory.cells == debug_memory.cells
-            assert fast_cpu.stack == debug_cpu.stack
+            assert fast == hooked == debug
+            assert fast.reason is StopReason.HALTED
+            assert (fast_cpu.memory.cells == hooked_cpu.memory.cells
+                    == debug_cpu.memory.cells)
+            assert fast_cpu.stack == hooked_cpu.stack == debug_cpu.stack
+            assert hooked_writes == checked_writes
+            assert len(checked_writes) == debug_cpu.memory.writes
 
     def test_traps_agree_between_paths(self):
         for code in ([Instr("ADD"), Instr("HALT")],
@@ -193,22 +205,16 @@ class TestFastAndDebugPathsAgree:
                      [Instr("PUSH", 1), Instr("PUSH", 0), Instr("DIV")],
                      [Instr("LOAD", 1234)]):
             outcomes = []
-            for hooked in (False, True):
-                memory = MemoryMap(16)
-                cpu = Cpu(memory, Gpio())
-                if hooked:
-                    memory.set_write_hook(lambda a, v: None)
-                cpu.load(code)
-                cpu.reset_task(0)
+            for path in PATHS:
                 with pytest.raises(TargetFault) as caught:
-                    cpu.run()
+                    _run_path(code, path)
                 outcomes.append(caught.value.pc)
-            assert outcomes[0] == outcomes[1]
+            assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 class TestIsaTotality:
     def test_every_opcode_is_executable(self):
-        """No opcode is decode-only: each runs on both paths."""
+        """No opcode is decode-only: each runs on every path."""
         seen = set()
         asm = Assembler()
         # exercise everything except EMIT/HALT in a straight line
@@ -234,17 +240,11 @@ class TestIsaTotality:
         assert seen == set(OPCODES)
 
         code = asm.assemble()
-        for hooked in (False, True):
-            memory = MemoryMap(16)
-            cpu = Cpu(memory, Gpio())
-            if hooked:
-                memory.set_write_hook(lambda a, v: None)
-            cpu.load(code)
-            cpu.reset_task(0)
-            result = cpu.run()
+        for path in PATHS:
+            cpu, result, _ = _run_path(code, path)
             assert result.reason is StopReason.HALTED
             assert cpu.emit_log == [(1, 3, 4)]
-            assert memory.peek(RAM_BASE + 1) == 77
+            assert cpu.memory.peek(RAM_BASE + 1) == 77
 
     def test_arg_declaration_is_consistent(self):
         for op in OPCODES:

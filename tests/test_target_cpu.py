@@ -203,6 +203,23 @@ class TestMemoryMap:
         memory.poke(RAM_BASE + 2, 6)  # poke must NOT fire the hook
         assert seen == [(RAM_BASE + 1, 5)]
 
+    def test_write_hook_fires_only_for_watched_addresses(self):
+        memory = MemoryMap(16)
+        seen = []
+        memory.set_write_hook(lambda addr, value: seen.append((addr, value)),
+                              [RAM_BASE + 3])
+        memory.write_word(RAM_BASE + 1, 5)
+        memory.write_word(RAM_BASE + 3, 6)
+        assert seen == [(RAM_BASE + 3, 6)]
+        assert memory.writes == 2
+        memory.set_write_hook(None)
+        memory.write_word(RAM_BASE + 3, 7)
+        assert seen == [(RAM_BASE + 3, 6)] and not memory.watched
+
+    def test_watching_outside_ram_is_rejected(self):
+        with pytest.raises(TargetFault):
+            MemoryMap(16).set_write_hook(lambda a, v: None, [RAM_BASE + 16])
+
 
 class TestAssembler:
     def test_labels_resolve_forward_and_backward(self):
